@@ -349,7 +349,7 @@ def main() -> int:
     parser.add_argument("--snapshot-dir", default=None,
                         help="pass --snapshot-dir through to the server "
                         "(materialization snapshots persist across "
-                        "sessions; see bench_pr9.py for the cold-vs-warm "
+                        "sessions; BENCH_PR9.json records the cold-vs-warm "
                         "comparison)")
     parser.add_argument("--compare-tracing", action="store_true",
                         help="run the workload twice (tracing on, then "

@@ -1,8 +1,12 @@
 """Databases — indexed sets of ground atoms.
 
 A database (Section 2) is a set of atoms over constants and labeled nulls.
-This module provides an indexed, mutable fact store used by the chase and
-the Datalog engine:
+This module defines the :class:`Database` facade and a dict-of-sets
+implementation of it.  ``Database(...)`` always builds the columnar store
+(:mod:`repro.core.store`); the dict-of-sets store is the test reference,
+built only by :func:`dict_database`, and joins over it run the reference
+interpreter (:func:`repro.core.homomorphism.naive_homomorphisms`).  Both
+stores provide:
 
 * a per-relation index (``atoms_for``),
 * a per-(relation, position, term) index used by the homomorphism search,
@@ -25,7 +29,6 @@ of a fresh sort per pattern atom.
 from __future__ import annotations
 
 import hashlib
-import os
 from collections import defaultdict
 from typing import Iterable, Iterator, Mapping, Optional
 
@@ -34,25 +37,6 @@ from .terms import Constant, Null, Term
 from .theory import ACDOM
 
 __all__ = ["Database", "dict_database"]
-
-try:
-    # Same direct-environ probe as REPRO_NAIVE_JOIN in homomorphism.py:
-    # ``Database(...)`` is called on construction-heavy paths (parsing,
-    # restrict/copy, every test), so the escape-hatch check must not pay
-    # the full ``os.environ.__getitem__`` machinery.
-    _ENV_DATA = os.environ._data
-    _DICT_STORE_KEY = os.environ.encodekey("REPRO_DICT_STORE")
-except AttributeError:  # pragma: no cover - non-CPython fallback
-    _ENV_DATA = None
-    _DICT_STORE_KEY = None
-
-
-def _dict_store_requested() -> bool:
-    if _ENV_DATA is not None:
-        raw = _ENV_DATA.get(_DICT_STORE_KEY)
-        return raw is not None and raw not in (b"", b"0", "", "0")
-    return os.environ.get("REPRO_DICT_STORE", "") not in ("", "0")
-
 
 #: Resolved lazily by ``Database.__new__`` to avoid an import cycle with
 #: ``repro.core.store`` (which subclasses ``Database``).
@@ -80,20 +64,20 @@ def _atom_fingerprint(atom: Atom) -> str:
 class Database:
     """A mutable, indexed set of ground atoms.
 
-    ``Database(...)`` is a dispatching constructor: by default it builds
-    the columnar store (:class:`repro.core.store.ColumnarDatabase`, a
-    subclass presenting this exact interface); setting
-    ``REPRO_DICT_STORE=1`` — or calling :func:`dict_database` — yields
-    the dict-of-sets implementation defined in this module.
+    ``Database(...)`` always builds the columnar store
+    (:class:`repro.core.store.ColumnarDatabase`, a subclass presenting
+    this exact interface).  The dict-of-sets implementation defined in
+    this module is the test reference, reachable only through
+    :func:`dict_database`; joins over it run the reference interpreter.
     """
 
-    #: True on the columnar subclass; lets hot paths (the compiled join
-    #: plans, the Datalog delta loop) branch on the store kind without
-    #: an isinstance check.
+    #: True on the columnar subclass; lets hot paths (the join dispatch,
+    #: the Datalog delta loop) branch on the store kind without an
+    #: isinstance check.
     _columnar = False
 
     def __new__(cls, *args, **kwargs) -> "Database":
-        if cls is Database and not _dict_store_requested():
+        if cls is Database:
             global _COLUMNAR_CLS
             columnar = _COLUMNAR_CLS
             if columnar is None:
@@ -354,7 +338,10 @@ class Database:
 
     def restrict_to_relations(self, names: set[str]) -> "Database":
         """A new database keeping only atoms whose relation name is in ``names``."""
-        restricted = Database(
+        # ``object.__new__`` keeps the store kind, as in :meth:`copy`:
+        # ``Database(...)`` would always build the columnar store.
+        restricted = object.__new__(type(self))
+        restricted.__init__(
             (atom for atom in self if atom.relation in names),
             freeze_acdom=False,
         )
@@ -386,11 +373,12 @@ class Database:
 def dict_database(
     atoms: Iterable[Atom] = (), freeze_acdom: bool = True
 ) -> Database:
-    """Build the dict-of-sets store explicitly, ignoring the dispatch.
+    """Build the dict-of-sets reference store.
 
-    Used by the differential tests and benchmarks that need both store
-    implementations side by side in one process, where flipping
-    ``REPRO_DICT_STORE`` would be global state.
+    The only way to reach it: ``Database(...)`` always builds the
+    columnar store.  Used by the differential tests, which check the
+    columnar store and compiled joins against this store and the
+    reference interpreter.
     """
     database = object.__new__(Database)
     database.__init__(atoms, freeze_acdom=freeze_acdom)

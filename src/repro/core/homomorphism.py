@@ -20,7 +20,9 @@ Two implementations share this module's public surface:
   greedily at each step (most bound positions first).  It is the
   reference implementation the compiled path is differentially tested
   against, and the ``REPRO_NAIVE_JOIN=1`` environment variable routes
-  :func:`homomorphisms` back to it.
+  :func:`homomorphisms` back to it.  Joins over the dict-of-sets
+  reference store (:func:`repro.core.database.dict_database`) always run
+  the interpreter: compiled plans only target the columnar store.
 
 Both enumerate the same assignment *set*; enumeration order is
 unspecified (the interpreter iterates hash sets).
@@ -196,12 +198,13 @@ def homomorphisms(
 
     Dispatches to the compiled :class:`~repro.core.plan.JoinPlan` executor
     (plans cached across calls); set ``REPRO_NAIVE_JOIN=1`` to fall back to
-    the :func:`naive_homomorphisms` reference interpreter.
+    the :func:`naive_homomorphisms` reference interpreter, which also
+    serves every non-columnar (reference) database.
     """
     obs = _obs_current()
     if obs is not None:
         obs.inc("homomorphism_calls")
-    if _naive_requested():
+    if not database._columnar or _naive_requested():
         if forced is not None:
             # The columnar Datalog engine ships deltas as encoded row
             # blocks; the reference interpreter works on atoms.

@@ -30,9 +30,11 @@ replaces that layout with a Soufflé-style columnar store:
 
 Everything stays behind the ``Database`` facade — ``add``,
 ``__contains__``, iteration, the index accessors — so every engine
-(chase, Datalog, saturation, WFG pipeline) runs unchanged.  Setting
-``REPRO_DICT_STORE=1`` routes ``Database(...)`` back to the dict store,
-mirroring the ``REPRO_NAIVE_JOIN`` escape hatch for the join compiler.
+(chase, Datalog, saturation, WFG pipeline) runs unchanged.
+``Database(...)`` always builds this store.  The dict store survives
+only as the test reference (:func:`repro.core.database.dict_database`):
+joins over it run the reference interpreter, and the differential
+suite checks this store and the compiled joins against it.
 
 Snapshots
 ---------
@@ -468,8 +470,8 @@ class ColumnarDatabase(Database):
     """The columnar store behind the :class:`Database` facade.
 
     Construction goes through ``Database(...)`` — ``Database.__new__``
-    dispatches here unless ``REPRO_DICT_STORE`` is set — so all parser,
-    engine and service code keeps creating plain Databases.
+    always dispatches here — so all parser, engine and service code
+    keeps creating plain Databases.
     """
 
     _columnar = True

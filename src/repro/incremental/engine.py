@@ -31,10 +31,11 @@ instead of the database:
   reported in the update stats, never silent.
 
 Programs with negation, programs reading ``ACDom`` (inserts can grow
-the active domain), and dict-store databases likewise run in reported
-recompute mode.  Every path leaves the model equal to a from-scratch
-evaluation of the post-update database — the Hypothesis differential
-suite asserts exactly that.
+the active domain), and databases on the dict reference store
+(:func:`~repro.core.database.dict_database`, a library caller's choice)
+likewise run in reported recompute mode.  Every path leaves the model
+equal to a from-scratch evaluation of the post-update database — the
+Hypothesis differential suite asserts exactly that.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ import os
 import pytest
 
 from repro.core import Database
+from repro.core.database import dict_database
 from repro.core.parser import parse_atom, parse_database, parse_theory
 from repro.core.terms import Constant
 from repro.chase.runner import ChaseBudget, chase
@@ -148,9 +149,8 @@ class TestReportedFallbacks:
         # Inserts grow the active domain: the recompute must see c and d.
         assert (Constant("c"),) in live.answers("reach")
 
-    def test_dict_store_falls_back_with_reason(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DICT_STORE", "1")
-        db = parse_database("e(a, b).")
+    def test_dict_store_falls_back_with_reason(self):
+        db = dict_database(parse_database("e(a, b)."))
         assert not db._columnar
         live = LiveModel(parse_theory(TC), db)
         assert live.fallback_reason == "dict_store"
@@ -263,9 +263,8 @@ class TestContentHashMemo:
         assert db._columnar
         self.check_interleaved(db)
 
-    def test_dict_store(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DICT_STORE", "1")
-        db = parse_database("e(a, b). e(b, c).")
+    def test_dict_store(self):
+        db = dict_database(parse_database("e(a, b). e(b, c)."))
         assert not db._columnar
         self.check_interleaved(db)
 

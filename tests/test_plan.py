@@ -20,6 +20,7 @@ from repro.core import (
     naive_homomorphisms,
     plan_cache_stats,
 )
+from repro.core.database import dict_database
 from repro.core.parser import parse_database
 from repro.core.terms import Null
 from repro.core.theory import ACDOM
@@ -290,6 +291,22 @@ class TestEscapeHatch:
         # the interpreter path never consults the plan cache
         assert plan_cache_stats()["misses"] == misses
 
+    def test_dict_store_routes_to_interpreter(self):
+        atoms = parse_database("E(a,b). E(b,c).")
+        pattern = (Atom("E", (X, Y)), Atom("E", (Y, Z)))
+        expected = canon(homomorphisms(pattern, atoms))
+        clear_plan_cache()
+        misses = plan_cache_stats()["misses"]
+        reference = dict_database(atoms)
+        assert canon(homomorphisms(pattern, reference)) == expected
+        # the reference store never consults the plan cache
+        assert plan_cache_stats()["misses"] == misses
+
+    def test_execute_plan_rejects_dict_store(self):
+        plan = compile_plan((Atom("E", (X, Y)),))
+        with pytest.raises(TypeError):
+            execute_plan(plan, dict_database([Atom("E", (A, B))]))
+
     def test_zero_means_compiled(self, monkeypatch):
         db = parse_database("E(a,b).")
         pattern = (Atom("E", (X, Y)),)
@@ -316,6 +333,7 @@ class TestCompiledPlanShape:
         source = plan.source()
         assert "def _plan_fn(" in source
         assert "yield" in source
+        assert "database._symtab" in source
 
     def test_plans_cover_all_atoms(self):
         pattern = (Atom("E", (X, Y)), Atom("T", (Z,)), Atom("E", (Y, Z)))

@@ -2,7 +2,7 @@
 
 Covers the symbol table, column relations (dedup, hash buckets, sorted
 bisect probes, range scans), the ``Database`` facade dispatch and the
-``REPRO_DICT_STORE`` escape hatch, content-hash memoization, and the
+``dict_database`` reference store, content-hash memoization, and the
 snapshot lifecycle: round-trip equality, copy-on-write thaw of mapped
 columns, the cache-key contract, and the rejection of corrupted,
 truncated, and wrong-version files with the typed :class:`SnapshotError`
@@ -108,16 +108,19 @@ class TestDispatch:
         assert type(db) is Database
         assert db._columnar is False
 
-    def test_escape_hatch_restores_dict_store(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DICT_STORE", "1")
-        db = Database([fact("R", "a", "b")])
-        assert type(db) is Database
-        monkeypatch.setenv("REPRO_DICT_STORE", "0")
-        assert isinstance(Database(), ColumnarDatabase)
-
     def test_copy_preserves_store_kind(self):
         assert isinstance(Database().copy(), ColumnarDatabase)
         assert type(dict_database().copy()) is Database
+
+    def test_restrict_to_relations_preserves_store_kind(self):
+        atoms = [fact("R", "a", "b"), fact("S", "c")]
+        columnar = Database(atoms).restrict_to_relations({"R"})
+        assert isinstance(columnar, ColumnarDatabase)
+        assert set(columnar) == {fact("R", "a", "b")}
+        reference = dict_database(atoms).restrict_to_relations({"R"})
+        assert type(reference) is Database
+        assert set(reference) == {fact("R", "a", "b")}
+        assert reference.active_constants() == columnar.active_constants()
 
     def test_mixed_kind_equality(self):
         atoms = [fact("R", "a", "b"), fact("S", "c")]

@@ -1,12 +1,14 @@
 """Differential property tests: columnar store vs the dict store.
 
-The columnar store (:class:`repro.core.store.ColumnarDatabase`, the
-default behind ``Database(...)``) and the dict store
-(:func:`repro.core.database.dict_database`, also reachable via
-``REPRO_DICT_STORE=1``) must agree observably on every facade operation
-— add/contains/iterate/index probes — and produce identical join
-results, Datalog fixpoints, and chase models on arbitrary inputs.
-Snapshots must round-trip to an equal database under both comparisons.
+The columnar store (:class:`repro.core.store.ColumnarDatabase`, what
+``Database(...)`` always builds) and the dict reference store
+(:func:`repro.core.database.dict_database`) must agree observably on
+every facade operation — add/contains/iterate/index probes — and produce
+identical join results, Datalog fixpoints, and chase models on arbitrary
+inputs.  Joins over the dict store run the reference interpreter, so
+every engine case checks columnar store + compiled joins against dict
+store + interpreter.  Snapshots must round-trip to an equal database
+under both comparisons.
 """
 
 import random
