@@ -247,7 +247,6 @@ def naive_homomorphisms(
     """
     atoms = list(pattern)
     assignment: Assignment = dict(partial) if partial else {}
-    obs = _obs_current()
 
     if forced is not None:
         forced_index, forced_atoms = forced
@@ -259,10 +258,10 @@ def naive_homomorphisms(
             seed = _unify(forced_atom, fact, assignment)
             if seed is None:
                 continue
-            yield from _search(rest, atoms, database, seed, obs)
+            yield from _search(rest, atoms, database, seed)
         return
 
-    yield from _search(list(range(len(atoms))), atoms, database, assignment, obs)
+    yield from _search(list(range(len(atoms))), atoms, database, assignment)
 
 
 def _search(
@@ -270,24 +269,14 @@ def _search(
     atoms: Sequence[Atom],
     database: Database,
     assignment: Assignment,
-    obs=None,
 ) -> Iterator[Assignment]:
     if not remaining:
         yield assignment
         return
     index = _select_next(remaining, atoms, assignment)
     rest = [i for i in remaining if i != index]
-    if obs is None:
-        for extension in _match_atom(atoms[index], database, assignment):
-            yield from _search(rest, atoms, database, extension)
-        return
-    obs.inc("homomorphism.match_calls")
-    matched = False
     for extension in _match_atom(atoms[index], database, assignment):
-        matched = True
-        yield from _search(rest, atoms, database, extension, obs)
-    if not matched:
-        obs.inc("homomorphism.backtracks")
+        yield from _search(rest, atoms, database, extension)
 
 
 def first_homomorphism(

@@ -49,12 +49,11 @@ when it is still free.  A malformed ``ACDom`` atom compiles to a step
 that raises when (and only when) the search reaches it, matching the
 interpreter's laziness.
 
-Three executor kinds are generated per plan, all by one code generator:
-a *fast* one, an *instrumented* one that accumulates
-``homomorphism.match_calls`` / ``homomorphism.backtracks`` for the
-observability layer (the dispatcher picks per call based on whether
-instrumentation is active), and *rule executors* that stage encoded head
-rows for the Datalog engine (:func:`derive_rule_rows`).
+Two executor kinds are generated per plan, both by one code generator:
+an *assignment* executor that yields decoded result dicts
+(:func:`execute_plan`), and *rule executors* that stage encoded head rows
+for the Datalog engine (:func:`derive_rule_rows`).  Instrumented runs
+execute the same executors as uninstrumented ones.
 """
 
 from __future__ import annotations
@@ -129,8 +128,7 @@ class JoinPlan:
         "adornment",
         "has_extras",
         "forced_index",
-        "_fast_fn",
-        "_instr_fn",
+        "_fn",
         "_row_fns",
     )
 
@@ -157,14 +155,13 @@ class JoinPlan:
         self.adornment = adornment
         self.has_extras = has_extras
         self.forced_index = forced_index
-        self._fast_fn = None
-        self._instr_fn = None
+        self._fn = None
         #: head-tuple -> compiled row-emitting rule executor.
         self._row_fns = None
 
     def source(self) -> str:
-        """The generated (fast-variant) executor source — debugging aid."""
-        return _generate(self, instrumented=False).source()
+        """The generated assignment-executor source — debugging aid."""
+        return _generate(self).source()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -437,7 +434,6 @@ def _compile_fn(plan: JoinPlan, e: _Emitter):
 
 def _generate(
     plan: JoinPlan,
-    instrumented: bool,
     heads: Optional[tuple[Atom, ...]] = None,
     all_rows: bool = False,
 ) -> _Emitter:
@@ -453,28 +449,23 @@ def _generate(
     relations' lazily built hash buckets, joins compare ints read
     straight out of the column vectors, and IDs decode back to terms
     only at the final ``yield``.  Forced facts arrive as pre-encoded ID
-    rows (see :func:`_encode_forced`).  The instrumented variant
-    additionally accumulates match/backtrack counters and flushes them
-    to the active observability runtime in a ``finally``.
+    rows (see :func:`_encode_forced`).
 
     With ``heads`` the generator becomes a *rule executor*: instead of
     decoding assignments, each match appends the encoded head rows
     (skipping rows already in the database) into a per-relation staging
     set — nothing is boxed at all.  Used by the Datalog engine's
     fixpoint loop (see :func:`derive_rule_rows`); requires an unadorned
-    plan and no instrumentation.  ``all_rows`` drops the existing-row
-    skip so *every* derived head row is staged, present or not — the
-    incremental engine's overdelete/affected-row discovery needs head
-    rows that are already (or still) in the model (see
-    :func:`derive_rule_rows_all`).
+    plan.  ``all_rows`` drops the existing-row skip so *every* derived
+    head row is staged, present or not — the incremental engine's
+    overdelete/affected-row discovery needs head rows that are already
+    (or still) in the model (see :func:`derive_rule_rows_all`).
     """
     e = _Emitter()
     steps = plan.steps
     if heads is not None:
-        assert not instrumented and not plan.adorned_slots
+        assert not plan.adorned_slots
         e.emit("def _plan_fn(database, forced_rows, out):")
-    elif instrumented:
-        e.emit("def _plan_fn(database, forced_rows, base, partial, obs):")
     else:
         e.emit("def _plan_fn(database, forced_rows, base, partial):")
     e.indent += 1
@@ -612,17 +603,10 @@ def _generate(
         emit_heads_prelude(dict(plan.out_items)) if heads is not None else None
     )
 
-    if instrumented:
-        e.emit("_m = 0")
-        e.emit("_b = 0")
-        e.emit("try:")
-        e.indent += 1
-
-    loop_indents: list[int] = []
+    in_loop = False
     truncated = False
     for i, step in enumerate(steps):
-        fail = "continue" if loop_indents else "return"
-        guard_bt = "_b += 1; " if instrumented else ""
+        fail = "continue" if in_loop else "return"
         if step.kind == _ACDOM_BAD:
             message = f"ACDom is unary, got {step.atom}"
             e.emit(f"raise ValueError({e.ref(message, 'A')})")
@@ -630,10 +614,8 @@ def _generate(
             break
         if step.kind == _ACDOM_ENUM:
             e.emit(f"for s{step.acdom_slot} in AC:")
-            loop_indents.append(e.indent)
+            in_loop = True
             e.indent += 1
-            if instrumented:
-                e.emit("_m += 1")
             continue
         if step.kind == _ACDOM_CHECK:
             value = (
@@ -641,16 +623,14 @@ def _generate(
                 if step.acdom_term is not None
                 else f"s{step.acdom_slot}"
             )
-            e.emit(f"if {value} not in ACS: {guard_bt}{fail}")
-            if instrumented:
-                e.emit("_m += 1")
+            e.emit(f"if {value} not in ACS: {fail}")
             continue
 
         if step.kind == _FORCED:
             # Rows are pre-filtered to this relation key by
             # ``_encode_forced``; no per-row key check needed.
             e.emit(f"for r{i} in forced_rows:")
-            loop_indents.append(e.indent)
+            in_loop = True
             e.indent += 1
             for position, term in step.const_items:
                 e.emit(f"if r{i}[{position}] != {id_names[term]}: continue")
@@ -660,8 +640,6 @@ def _generate(
                 e.emit(f"s{slot} = r{i}[{position}]")
             for position, slot in step.check_items:
                 e.emit(f"if r{i}[{position}] != s{slot}: continue")
-            if instrumented:
-                e.emit("_m += 1")
             continue
 
         # _ATOM
@@ -671,19 +649,19 @@ def _generate(
         elif len(items) == 1:
             position, value = items[0]
             e.emit(f"best = B{i}_{position}.get({value})")
-            e.emit(f"if best is None: {guard_bt}{fail}")
+            e.emit(f"if best is None: {fail}")
             e.emit(f"for o{i} in best:")
         else:
             position, value = items[0]
             e.emit(f"b = B{i}_{position}.get({value})")
-            e.emit(f"if b is None: {guard_bt}{fail}")
+            e.emit(f"if b is None: {fail}")
             e.emit("best = b")
             for position, value in items[1:]:
                 e.emit(f"b = B{i}_{position}.get({value})")
-                e.emit(f"if b is None: {guard_bt}{fail}")
+                e.emit(f"if b is None: {fail}")
                 e.emit("if len(b) < len(best): best = b")
             e.emit(f"for o{i} in best:")
-        loop_indents.append(e.indent)
+        in_loop = True
         e.indent += 1
         if len(items) > 1:
             # The winning bucket is only known at run time, so verify
@@ -694,8 +672,6 @@ def _generate(
             e.emit(f"s{slot} = C{i}_{position}[o{i}]")
         for position, slot in step.check_items:
             e.emit(f"if C{i}_{position}[o{i}] != s{slot}: continue")
-        if instrumented:
-            e.emit("_m += 1")
 
     if not truncated:
         if heads is not None:
@@ -709,20 +685,6 @@ def _generate(
                 e.emit(f"yield {{**base, {entries}}}")
             else:
                 e.emit(f"yield {{{entries}}}")
-
-    if instrumented:
-        for indent in reversed(loop_indents):
-            e.indent = indent
-            e.emit("_b += 1")
-        e.indent = 1
-        e.emit("finally:")
-        e.indent += 1
-        e.emit("if obs is not None:")
-        e.indent += 1
-        e.emit("obs.inc('homomorphism.match_calls', _m)")
-        e.emit("if _b:")
-        e.indent += 1
-        e.emit("obs.inc('homomorphism.backtracks', _b)")
     return e
 
 
@@ -806,7 +768,7 @@ def _derive_rows(body, heads, database, forced, out, all_rows: bool) -> None:
     fn = fns.get(cache_key)
     if fn is None:
         fn = fns[cache_key] = _compile_fn(
-            plan, _generate(plan, False, heads=head_key, all_rows=all_rows)
+            plan, _generate(plan, heads=head_key, all_rows=all_rows)
         )
     fn(database, rows, out)
 
@@ -843,15 +805,9 @@ def execute_plan(
         for variable, value in partial.items():
             if variable not in pattern_vars:
                 base[variable] = value
-    obs = _obs_current()
     if plan.forced_index is not None:
         forced_facts = _encode_forced(plan, database, forced_facts)
-    if obs is None:
-        fn = plan._fast_fn
-        if fn is None:
-            fn = plan._fast_fn = _compile_fn(plan, _generate(plan, False))
-        return fn(database, forced_facts, base, partial)
-    fn = plan._instr_fn
+    fn = plan._fn
     if fn is None:
-        fn = plan._instr_fn = _compile_fn(plan, _generate(plan, True))
-    return fn(database, forced_facts, base, partial, obs)
+        fn = plan._fn = _compile_fn(plan, _generate(plan))
+    return fn(database, forced_facts, base, partial)

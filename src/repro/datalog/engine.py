@@ -177,12 +177,10 @@ def _evaluate_stratum(
     # On columnar stores, negation-free rules fire through compiled
     # ID-space executors: head rows are staged encoded, and nothing is
     # boxed until a caller decodes.  Negation rules (they must consult
-    # the boxed membership of lower strata mid-match), instrumented
-    # runs, and REPRO_NAIVE_JOIN reference runs keep the assignment
-    # path.
-    row_path = (
-        database._columnar and obs is None and not _naive_requested()
-    )
+    # the boxed membership of lower strata mid-match) and
+    # REPRO_NAIVE_JOIN reference runs keep the assignment path.
+    # Instrumentation only records: traced runs take the same path.
+    row_path = database._columnar and not _naive_requested()
     in_rows = [
         row_path and not rule.negative_body() for rule in stratum
     ]

@@ -58,6 +58,7 @@ from ..core.theory import ACDOM, Theory
 from ..chase.runner import (
     RESTRICTED,
     ChaseBudget,
+    answers_in,
     chase as run_chase,
     extend_chase,
 )
@@ -166,18 +167,98 @@ def _unfreeze_acdom(database: Database) -> None:
         database._acdom_ids_sorted = None
 
 
-def _model_answers(model: Database, output: str) -> set[tuple[Constant, ...]]:
-    answers: set[tuple[Constant, ...]] = set()
-    for key in model.relations():
-        if key[0] != output:
-            continue
-        for atom in model.atoms_for(key):
-            if all(isinstance(term, Constant) for term in atom.args):
-                answers.add(tuple(atom.args))  # type: ignore[arg-type]
-    return answers
+def _apply_edb(
+    edb: Database,
+    inserts: Iterable[Atom],
+    retracts: Iterable[Atom],
+    stats: UpdateStats,
+) -> tuple[list[Atom], list[Atom]]:
+    """Retract, then insert, extensional facts; count the ones that
+    changed ``edb`` in ``stats`` and return them as
+    ``(retracted, inserted)``.  A batch holding both behaves as two
+    consecutive updates."""
+    retracted = [atom for atom in retracts if edb.remove(atom)]
+    inserted = [atom for atom in inserts if edb.add(atom)]
+    stats.retracted += len(retracted)
+    stats.inserted += len(inserted)
+    return retracted, inserted
 
 
-class LiveModel:
+def _account(stats: UpdateStats, obs) -> None:
+    """Fold one update's stats into the process counters and ``obs``."""
+    _stats["updates"] += 1
+    _stats["inserted"] += stats.inserted
+    _stats["retracted"] += stats.retracted
+    _stats["derived_added"] += stats.derived_added
+    _stats["derived_removed"] += stats.derived_removed
+    _stats["overdeleted"] += stats.overdeleted
+    _stats["rederived"] += stats.rederived
+    if stats.fallback is not None:
+        _stats["fallbacks"] += 1
+    if obs is not None:
+        obs.observe("incremental.delta_size", stats.delta_size)
+        if stats.rederived:
+            obs.inc("incremental.rederived", stats.rederived)
+        if stats.fallback is not None:
+            obs.inc("incremental.fallbacks")
+
+
+class _Live:
+    """Bookkeeping shared by the live models: an owned extensional
+    instance ``edb``, the current ``model``, and the update accounting.
+
+    Subclasses set ``kind``, ``mode`` and ``fallback_reason`` and
+    implement ``_refresh``, which produces the post-update model for
+    :meth:`_rebuild`."""
+
+    kind: str
+    mode: str
+    fallback_reason: Optional[str]
+    edb: Database
+    model: Database
+
+    def answers(self, output: str) -> set[tuple[Constant, ...]]:
+        """All-constant tuples of the output relation in the model."""
+        return answers_in(self.model, output)
+
+    def _update(self, step, inserts, retracts) -> UpdateStats:
+        """Run ``step(inserts, retracts, obs)`` under the
+        ``incremental.update`` span and account the stats it returns."""
+        obs = _obs_current()
+        span = (
+            obs.span("incremental.update", kind=self.kind, mode=self.mode)
+            if obs is not None
+            else nullcontext()
+        )
+        with span:
+            stats = step(inserts, retracts, obs)
+        _account(stats, obs)
+        return stats
+
+    def _rebuild(self, inserts, retracts, obs) -> UpdateStats:
+        """Apply the extensional changes, replace the model with
+        ``_refresh``'s, and record the model's size change net of the
+        extensional rows it gained and lost as the derived change."""
+        stats = UpdateStats(mode=self.mode, fallback=self.fallback_reason)
+        old = self.model
+        old_size = len(old)
+        retracted, inserted = _apply_edb(self.edb, inserts, retracts, stats)
+        # Counted before ``_refresh``, which may grow ``old`` in place.
+        gained = sum(1 for atom in inserted if atom not in old)
+        self.model = self._refresh(inserted, stats, obs)
+        lost = sum(1 for atom in retracted if atom not in self.model)
+        net = len(self.model) - old_size - gained + lost
+        if net >= 0:
+            stats.derived_added = net
+        else:
+            stats.derived_removed = -net
+        return stats
+
+    def _refresh(self, inserted: list[Atom], stats: UpdateStats, obs):
+        raise NotImplementedError
+
+
+class LiveModel(_Live):
     """A Datalog fixpoint maintained under insert/retract batches.
 
     ``program`` must be stratified Datalog; ``database`` is the input
@@ -248,10 +329,6 @@ class LiveModel:
     # ------------------------------------------------------------------
     # public surface
     # ------------------------------------------------------------------
-    def answers(self, output: str) -> set[tuple[Constant, ...]]:
-        """All-constant tuples of the output relation in the model."""
-        return _model_answers(self.model, output)
-
     def apply(
         self,
         inserts: Iterable[Atom] = (),
@@ -264,62 +341,15 @@ class LiveModel:
         statistics; the model afterwards equals a from-scratch
         evaluation of the updated input database.
         """
-        obs = _obs_current()
-        span = (
-            obs.span("incremental.update", kind=self.kind, mode=self.mode)
-            if obs is not None
-            else nullcontext()
-        )
-        with span:
-            if self.mode == "recompute":
-                stats = self._apply_recompute(
-                    inserts, retracts, self.fallback_reason or "recompute"
-                )
-            else:
-                stats = self._apply_counting(inserts, retracts, obs)
-        self._account(stats, obs)
-        return stats
+        if self.mode == "counting":
+            return self._update(self._apply_counting, inserts, retracts)
+        return self._update(self._rebuild, inserts, retracts)
 
-    def _account(self, stats: UpdateStats, obs) -> None:
-        _stats["updates"] += 1
-        _stats["inserted"] += stats.inserted
-        _stats["retracted"] += stats.retracted
-        _stats["derived_added"] += stats.derived_added
-        _stats["derived_removed"] += stats.derived_removed
-        _stats["overdeleted"] += stats.overdeleted
-        _stats["rederived"] += stats.rederived
-        if stats.fallback is not None:
-            _stats["fallbacks"] += 1
-        if obs is not None:
-            obs.observe("incremental.delta_size", stats.delta_size)
-            if stats.rederived:
-                obs.inc("incremental.rederived", stats.rederived)
-            if stats.fallback is not None:
-                obs.inc("incremental.fallbacks")
-
-    # ------------------------------------------------------------------
-    # recompute fallback
-    # ------------------------------------------------------------------
-    def _apply_recompute(
-        self, inserts, retracts, reason: str
-    ) -> UpdateStats:
-        stats = UpdateStats(mode="recompute", fallback=reason)
-        old_size = len(self.model)
-        for atom in retracts:
-            if self.edb.remove(atom):
-                stats.retracted += 1
-        for atom in inserts:
-            if self.edb.add(atom):
-                stats.inserted += 1
-        self.model = evaluate(
+    def _refresh(self, inserted, stats, obs) -> Database:
+        """The recompute fallback: re-evaluate from scratch."""
+        return evaluate(
             self.program, self.edb, stratification=self.stratification
         )
-        grown = len(self.model) - old_size
-        if grown >= 0:
-            stats.derived_added = grown
-        else:
-            stats.derived_removed = -grown
-        return stats
 
     # ------------------------------------------------------------------
     # counting / DRed maintenance
@@ -328,13 +358,12 @@ class LiveModel:
         stats = UpdateStats(mode="counting")
         model = self.model
         ids = model._symtab._ids
+        # Maintenance reads only the model, so ``edb`` may change first.
+        retracted, inserted = _apply_edb(self.edb, inserts, retracts, stats)
 
         # -- retract batch --------------------------------------------
         seed: dict[RelationKey, set[tuple[int, ...]]] = {}
-        for atom in retracts:
-            if not self.edb.remove(atom):
-                continue  # not an extensional fact; nothing to retract
-            stats.retracted += 1
+        for atom in retracted:
             key = atom.relation_key
             relation = model._relations[key]
             relation.ensure_counts()
@@ -347,10 +376,7 @@ class LiveModel:
 
         # -- insert batch ---------------------------------------------
         fresh: dict[RelationKey, list[tuple[int, ...]]] = {}
-        for atom in inserts:
-            if not self.edb.add(atom):
-                continue  # duplicate extensional insert
-            stats.inserted += 1
+        for atom in inserted:
             key = atom.relation_key
             was_new = model.add(atom)
             relation = model._relations[key]
@@ -563,7 +589,7 @@ class LiveModel:
         return total
 
 
-class RecomputeLiveModel:
+class RecomputeLiveModel(_Live):
     """The reported-fallback live model: every update re-materializes.
 
     Used where no delta-maintenance algorithm applies (the WFG pipeline,
@@ -589,48 +615,18 @@ class RecomputeLiveModel:
         _unfreeze_acdom(self.edb)
         self.model = model if model is not None else materialize(self.edb)
 
-    def answers(self, output: str) -> set[tuple[Constant, ...]]:
-        return _model_answers(self.model, output)
-
     def apply(
         self,
         inserts: Iterable[Atom] = (),
         retracts: Iterable[Atom] = (),
     ) -> UpdateStats:
-        obs = _obs_current()
-        span = (
-            obs.span("incremental.update", kind=self.kind, mode=self.mode)
-            if obs is not None
-            else nullcontext()
-        )
-        with span:
-            stats = UpdateStats(mode="recompute", fallback=self.fallback_reason)
-            old_size = len(self.model)
-            for atom in retracts:
-                if self.edb.remove(atom):
-                    stats.retracted += 1
-            for atom in inserts:
-                if self.edb.add(atom):
-                    stats.inserted += 1
-            self.model = self._materialize(self.edb)
-            grown = len(self.model) - old_size
-            if grown >= 0:
-                stats.derived_added = grown
-            else:
-                stats.derived_removed = -grown
-        _stats["updates"] += 1
-        _stats["inserted"] += stats.inserted
-        _stats["retracted"] += stats.retracted
-        _stats["derived_added"] += stats.derived_added
-        _stats["derived_removed"] += stats.derived_removed
-        _stats["fallbacks"] += 1
-        if obs is not None:
-            obs.observe("incremental.delta_size", stats.delta_size)
-            obs.inc("incremental.fallbacks")
-        return stats
+        return self._update(self._rebuild, inserts, retracts)
+
+    def _refresh(self, inserted, stats, obs) -> Database:
+        return self._materialize(self.edb)
 
 
-class ChaseLiveModel:
+class ChaseLiveModel(_Live):
     """A chase fixpoint maintained under insert batches.
 
     Built for existential theories the strategy advisor proved
@@ -659,6 +655,7 @@ class ChaseLiveModel:
         self.fallback_reason = (
             "acdom" if ACDOM in theory.relations() else None
         )
+        self.mode = "recompute" if self.fallback_reason else "chase_delta"
         # ``model`` adopts an existing *complete* chase instance (a
         # cached or snapshot-loaded materialization) instead of
         # re-chasing; ownership transfers to the live model.
@@ -675,73 +672,37 @@ class ChaseLiveModel:
             )
         return result.database
 
-    def answers(self, output: str) -> set[tuple[Constant, ...]]:
-        return _model_answers(self.model, output)
-
     def apply(
         self,
         inserts: Iterable[Atom] = (),
         retracts: Iterable[Atom] = (),
     ) -> UpdateStats:
-        obs = _obs_current()
-        span = (
-            obs.span("incremental.update", kind=self.kind)
+        return self._update(self._rebuild, inserts, retracts)
+
+    def _refresh(self, inserted, stats, obs) -> Database:
+        if stats.retracted and stats.fallback is None:
+            stats.mode = "recompute"
+            stats.fallback = "existential_retraction"
+        if stats.fallback is not None:
+            return self._full_chase()
+        if not inserted:
+            return self.model
+        chase_span = (
+            obs.span("incremental.chase_delta")
             if obs is not None
             else nullcontext()
         )
-        with span:
-            stats = UpdateStats(mode="chase_delta")
-            old_size = len(self.model)
-            for atom in retracts:
-                if self.edb.remove(atom):
-                    stats.retracted += 1
-            applied: list[Atom] = []
-            for atom in inserts:
-                if self.edb.add(atom):
-                    stats.inserted += 1
-                    applied.append(atom)
-            if stats.retracted or self.fallback_reason is not None:
-                stats.mode = "recompute"
-                stats.fallback = self.fallback_reason or (
-                    "existential_retraction"
-                )
-                self.model = self._full_chase()
-            elif applied:
-                chase_span = (
-                    obs.span("incremental.chase_delta")
-                    if obs is not None
-                    else nullcontext()
-                )
-                with chase_span:
-                    result = extend_chase(
-                        self.theory,
-                        self.model,
-                        applied,
-                        policy=self.policy,
-                        budget=self.budget,
-                    )
-                if not result.complete:
-                    reason = result.truncated_reason or "budget"
-                    raise exhausted_error(
-                        reason,
-                        f"incremental chase exhausted ({reason})",
-                        None,
-                    )
-                self.model = result.database
-            grown = len(self.model) - old_size
-            if grown >= 0:
-                stats.derived_added = max(0, grown - stats.inserted)
-            else:
-                stats.derived_removed = -grown
-        _stats["updates"] += 1
-        _stats["inserted"] += stats.inserted
-        _stats["retracted"] += stats.retracted
-        _stats["derived_added"] += stats.derived_added
-        _stats["derived_removed"] += stats.derived_removed
-        if stats.fallback is not None:
-            _stats["fallbacks"] += 1
-        if obs is not None:
-            obs.observe("incremental.delta_size", stats.delta_size)
-            if stats.fallback is not None:
-                obs.inc("incremental.fallbacks")
-        return stats
+        with chase_span:
+            result = extend_chase(
+                self.theory,
+                self.model,
+                inserted,
+                policy=self.policy,
+                budget=self.budget,
+            )
+        if not result.complete:
+            reason = result.truncated_reason or "budget"
+            raise exhausted_error(
+                reason, f"incremental chase exhausted ({reason})", None
+            )
+        return result.database

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from ..analysis import Severity, StrategyAdvice, advise, analyze
@@ -306,7 +306,11 @@ class CompiledTheory:
     ) -> Outcome[set[tuple[Constant, ...]]]:
         """Certain answers over ``database`` — the per-request hot path.
 
-        Only database-dependent stages run here; every engine reached
+        Every strategy runs the same sequence: the materialization LRU,
+        then the on-disk snapshot, else one :meth:`_materialize` (the
+        only per-strategy step) whose model is cached and persisted when
+        complete; the answers are then read out of the model.  Only
+        database-dependent stages run here; every engine reached
         resolves the ambient governor, so a ``governed()`` scope around
         this call bounds the whole computation.  ``db_key`` (the
         database text's content hash) enables the materialization cache;
@@ -319,94 +323,63 @@ class CompiledTheory:
             raise InvalidRequestError(
                 f"output relation {output!r} does not occur in the theory"
             )
-        if self.strategy in (STRATEGY_DATALOG, STRATEGY_TRANSLATE):
-            assert self.program is not None
-            with _obs_span("service.answer", strategy=self.strategy) as span:
-                fixpoint = self._cache_get(db_key)
-                if span is not None:
-                    span.set(cache_hit=fixpoint is not None)
-                if fixpoint is None:
-                    fixpoint = self._snapshot_load(db_key)
-                if fixpoint is None:
-                    self._count("materializations")
-                    with _obs_span("service.materialize", strategy=self.strategy):
-                        fixpoint = evaluate(self.program, database)
-                    self._cache_put(db_key, fixpoint)
-                    self._snapshot_save(db_key, fixpoint)
-                with _obs_span("service.cq_eval", output=output):
-                    return Outcome(
-                        value=answers_in(fixpoint, output), complete=True
-                    )
-        if self.strategy == STRATEGY_WFG:
-            assert self.rewriting is not None
-            with _obs_span("service.answer", strategy=self.strategy) as span:
-                fixpoint = self._cache_get(db_key)
-                if span is not None:
-                    span.set(cache_hit=fixpoint is not None)
-                if fixpoint is None:
-                    fixpoint = self._snapshot_load(db_key)
-                if fixpoint is None:
-                    self._count("materializations")
-                    with _obs_span("service.materialize", strategy=self.strategy):
-                        prepared = self.rewriting.prepare_database(database)
-                        grounded = partial_grounding(
-                            self.rewriting.theory, prepared
-                        )
-                        datalog = nearly_guarded_to_datalog(
-                            grounded, max_rules=self.saturation_max_rules
-                        )
-                        fixpoint = evaluate(datalog, prepared)
-                    self._cache_put(db_key, fixpoint)
-                    self._snapshot_save(db_key, fixpoint)
-                with _obs_span("service.cq_eval", output=output):
+        with _obs_span("service.answer", strategy=self.strategy) as span:
+            model = self._cache_get(db_key)
+            if span is not None:
+                span.set(cache_hit=model is not None)
+            if model is None:
+                model = self._snapshot_load(db_key)
+            if model is not None:
+                outcome = Outcome(value=model, complete=True)
+            else:
+                self._count("materializations")
+                with _obs_span("service.materialize", strategy=self.strategy):
+                    outcome = self._materialize(database, budget)
+                # A *complete* model is budget-independent (budgets only
+                # truncate), so the cache key is the database alone and
+                # truncated runs are never stored.
+                if outcome.complete:
+                    self._cache_put(db_key, outcome.value)
+                    self._snapshot_save(db_key, outcome.value)
+            with _obs_span("service.cq_eval", output=output):
+                answers = answers_in(outcome.value, output)
+                if self.strategy == STRATEGY_WFG:
                     answers = {
                         self.rewriting.restore_answer(output, answer)
-                        for answer in answers_in(fixpoint, output)
+                        for answer in answers
                     }
-                    return Outcome(value=answers, complete=True)
-        with _obs_span("service.answer", strategy=STRATEGY_CHASE) as span:
-            # A *complete* chase instance is budget-independent (budgets
-            # only truncate), so the cache key is the database alone and
-            # truncated runs are never stored.
-            instance = self._cache_get(db_key)
-            if span is not None:
-                span.set(cache_hit=instance is not None)
-            if instance is None:
-                instance = self._snapshot_load(db_key)
-            if instance is not None:
-                with _obs_span("service.cq_eval", output=output):
-                    return Outcome(
-                        value=answers_in(instance, output), complete=True
-                    )
-            self._count("materializations")
-            with _obs_span("service.materialize", strategy=STRATEGY_CHASE):
-                # Restricted, not oblivious: the advisor's termination
-                # verdicts certify the restricted/skolem chases only, and
-                # predictively routed theories must actually terminate.
-                result = run_chase(
-                    self.theory, database, policy=RESTRICTED, budget=budget
-                )
-            with _obs_span("service.cq_eval", output=output):
-                answers = answers_in(result.database, output)
-            if result.complete:
-                self._cache_put(db_key, result.database)
-                self._snapshot_save(db_key, result.database)
-                return Outcome(value=answers, complete=True)
-            return Outcome(
-                value=answers,
-                complete=False,
-                exhausted=result.truncated_reason,
-                sound=True,
-                snapshot=result.snapshot,
-            )
+            return replace(outcome, value=answers)
 
-    # ------------------------------------------------------------------
-    # incremental updates (repro.incremental)
-    # ------------------------------------------------------------------
+    def _materialize(
+        self, database: Database, budget: Optional[ChaseBudget]
+    ) -> Outcome[Database]:
+        """Build the model :meth:`answer` reads.  The fixpoint strategies
+        finish or raise; the chase may return a sound partial instance."""
+        if self.strategy == STRATEGY_WFG:
+            model = self._wfg_materialize(database)
+            return Outcome(value=model, complete=True)
+        if self.strategy in (STRATEGY_DATALOG, STRATEGY_TRANSLATE):
+            assert self.program is not None
+            model = evaluate(self.program, database)
+            return Outcome(value=model, complete=True)
+        # Restricted, not oblivious: the advisor's termination verdicts
+        # certify the restricted/skolem chases only, and predictively
+        # routed theories must actually terminate.
+        result = run_chase(
+            self.theory, database, policy=RESTRICTED, budget=budget
+        )
+        return Outcome(
+            value=result.database,
+            complete=result.complete,
+            exhausted=result.truncated_reason,
+            snapshot=result.snapshot,
+        )
+
     def _wfg_materialize(self, database: Database) -> Database:
-        """The WFG pipeline's database-dependent half (mirrors
-        :meth:`answer`'s materialization exactly, so live-model state
-        and query-path caches stay interchangeable)."""
+        """The WFG pipeline's database-dependent half: prepare, ground,
+        saturate, evaluate.  Shared by :meth:`answer` and the WFG live
+        model, so live-model state and query-path caches stay
+        interchangeable."""
         assert self.rewriting is not None
         prepared = self.rewriting.prepare_database(database)
         grounded = partial_grounding(self.rewriting.theory, prepared)

@@ -237,6 +237,54 @@ class TestUpdateStatsShape:
         assert payload["delta_size"] == 10
         assert payload["fallback"] is None
 
+    # An extensional fact no rule reads changes one row and derives
+    # nothing, on every maintenance path: (model builder, expected
+    # (mode, fallback) of the insert, then of the retract).
+    PATHS = {
+        "counting": (
+            lambda db: LiveModel(parse_theory(TC), db),
+            ("counting", None),
+            ("counting", None),
+        ),
+        "negation": (
+            lambda db: LiveModel(
+                parse_theory("e(x,y) -> r(x,y)\ne(x,y), not r(y,x) -> o(x,y)"),
+                db,
+            ),
+            ("recompute", "negation"),
+            ("recompute", "negation"),
+        ),
+        "recompute": (
+            lambda db: RecomputeLiveModel(
+                lambda edb: evaluate(parse_theory(TC), edb),
+                db,
+                reason="wfg_grounding",
+            ),
+            ("recompute", "wfg_grounding"),
+            ("recompute", "wfg_grounding"),
+        ),
+        "chase": (
+            lambda db: ChaseLiveModel(
+                parse_theory("e(x,y) -> exists z. t(y,z)"), db
+            ),
+            ("chase_delta", None),
+            ("recompute", "existential_retraction"),
+        ),
+    }
+
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    def test_underived_extensional_fact_counts_once(self, path):
+        build, insert_mode, retract_mode = self.PATHS[path]
+        live = build(parse_database("e(a, b). e(b, c)."))
+        inserted = live.apply(inserts=atoms("q(z)"))
+        assert (inserted.mode, inserted.fallback) == insert_mode
+        assert inserted.inserted == 1
+        assert inserted.delta_size == 1
+        retracted = live.apply(retracts=atoms("q(z)"))
+        assert (retracted.mode, retracted.fallback) == retract_mode
+        assert retracted.retracted == 1
+        assert retracted.delta_size == 1
+
 
 class TestContentHashMemo:
     """Satellite: the structural hash memo must be invalidated by every
